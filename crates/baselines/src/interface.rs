@@ -134,7 +134,7 @@ impl<S: FileStore> StoreAdapter<S> {
     }
 
     /// Attaches a probe that reads the wrapped store's RPC-client statistics
-    /// (e.g. `|| remote.stats()` or `|| sharded.client_stats()`), surfacing
+    /// (e.g. `|| remote.stats()`), surfacing
     /// them through [`ConcurrencyControl::client_stats`].
     pub fn with_client_stats(
         mut self,

@@ -11,20 +11,19 @@
 //! * a **per-block** cost (transfer), paid once per block moved.
 //!
 //! By default the device serves **one request at a time**: the delay is spent
-//! while an internal mutex is held, like a single disk head.  That is what
-//! lets the benchmarks show the two effects this model exists for — a k-block
+//! while an internal mutex is held, like a single disk head, so a k-block
 //! `write_batch` costs `per_call + k·per_block` instead of
-//! `k·(per_call + per_block)`, and a shard whose disks are saturated stops
-//! scaling until more shards (more disks) are added.
+//! `k·(per_call + per_block)`, and a replica on such a disk is a straggler
+//! its peers must not wait for (the replica tests use it that way).
 //!
 //! [`DelayStore::concurrent`] switches the wrapper to a **concurrent** cost
 //! model: every request still pays its full latency, but overlapping requests
 //! sleep independently instead of queueing on the head.  That models a device
 //! whose latency is dominated by the round trip rather than a serial actuator
 //! (an SSD with internal parallelism, or a network disk), and it is the mode
-//! the high-concurrency benchmarks use — with a serial head, client-side
-//! multiplexing would be invisible because the device itself flattens every
-//! pipeline back to one-at-a-time.
+//! the `perfbench` disks use — with a serial head, client-side multiplexing
+//! would be invisible because the device itself flattens every pipeline back
+//! to one-at-a-time.
 //!
 //! Allocation and bookkeeping calls are free: they model in-memory metadata,
 //! and charging them would only blur what the experiments measure.
@@ -43,10 +42,6 @@ pub struct DelayStore<S> {
     inner: S,
     per_call: Duration,
     per_block: Duration,
-    /// Scripted extra stall added to every charged request while set — the
-    /// "slow replica" fault mode (a partitioned-but-alive disk that answers,
-    /// eventually).  [`Duration::ZERO`] means off.
-    slow: Mutex<Duration>,
     /// The "disk head": held for the whole duration of a charged request in
     /// serial mode; bypassed in concurrent mode.
     busy: Mutex<()>,
@@ -63,7 +58,6 @@ impl<S: BlockStore> DelayStore<S> {
             inner,
             per_call,
             per_block,
-            slow: Mutex::new(Duration::ZERO),
             busy: Mutex::new(()),
             concurrent: false,
         }
@@ -88,22 +82,8 @@ impl<S: BlockStore> DelayStore<S> {
         &self.inner
     }
 
-    /// Scripts a slow window: every subsequent charged request stalls an extra
-    /// `extra` on top of the cost model, until called again with
-    /// [`Duration::ZERO`].  This is the "straggler replica" fault mode — the
-    /// disk stays alive and correct, it just stops keeping up — used to show
-    /// quorum commits are not gated by the slowest replica.
-    pub fn set_slow(&self, extra: Duration) {
-        *self.slow.lock() = extra;
-    }
-
-    /// The currently scripted extra stall ([`Duration::ZERO`] when none).
-    pub fn slow_for(&self) -> Duration {
-        *self.slow.lock()
-    }
-
     fn charge(&self, blocks: usize) {
-        let cost = self.per_call + self.per_block * blocks as u32 + *self.slow.lock();
+        let cost = self.per_call + self.per_block * blocks as u32;
         if cost.is_zero() {
             return;
         }
@@ -199,20 +179,6 @@ mod tests {
             batched < unbatched / 2,
             "8 blocks in one call ({batched:?}) must beat 8 calls ({unbatched:?})"
         );
-    }
-
-    #[test]
-    fn scripted_slow_window_stalls_and_clears() {
-        let store = DelayStore::new(MemStore::new(), Duration::ZERO, Duration::ZERO);
-        let nr = store.allocate().unwrap();
-        store.set_slow(Duration::from_millis(30));
-        let start = Instant::now();
-        store.write(nr, Bytes::from_static(b"slow")).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(30));
-        store.set_slow(Duration::ZERO);
-        let start = Instant::now();
-        store.write(nr, Bytes::from_static(b"fast")).unwrap();
-        assert!(start.elapsed() < Duration::from_millis(30));
     }
 
     #[test]

@@ -1383,6 +1383,9 @@ mod tests {
         let replicas = set(3);
         let nr = replicas.allocate().unwrap();
         replicas.write(nr, Bytes::from_static(b"before")).unwrap();
+        // A quorum ack may return before replica 1 applied "before"; fence so
+        // the crash below finds it on replica 1's disk, not on its intentions.
+        replicas.quiesce();
 
         replicas.crash(1);
         replicas.write(nr, Bytes::from_static(b"during")).unwrap();

@@ -153,11 +153,10 @@ impl FileService {
     /// again before commit) are freed without ever being written.  Returns the
     /// number of pages flushed.
     ///
-    /// With [`crate::ServiceConfig::batch_flush`] (the default) the physical
-    /// shape is **one scatter-gather batch of all data pages, then the version
-    /// page by itself**: two block-write calls per commit instead of one per
-    /// dirty page, and over replicated storage two RPCs per replica.  The
-    /// children-first order is preserved *inside* the batch and stores apply
+    /// The physical shape is **one scatter-gather batch of all data pages, then
+    /// the version page by itself**: two block-write calls per commit however
+    /// many pages are dirty, and over replicated storage two RPCs per replica.
+    /// The children-first order is preserved *inside* the batch and stores apply
     /// batch entries in order, so the crash invariant is unchanged; keeping the
     /// version page out of the batch keeps it strictly last — it becomes
     /// durable only after every data page it references.
@@ -185,20 +184,16 @@ impl FileService {
         let mut order = Vec::with_capacity(meta.dirty_blocks.len());
         let mut visited = std::collections::HashSet::new();
         self.collect_flush_order(meta.block, &mut visited, &mut order)?;
-        let flushed = if self.config.batch_flush {
-            match order.split_last() {
-                // The walk pushes its root — the version page — last.
-                Some((&version_page, data_pages)) => {
-                    let mut flushed = self
-                        .pages
-                        .flush_blocks_batched(data_pages.iter().copied())?;
-                    flushed += self.pages.flush_blocks_batched([version_page])?;
-                    flushed
-                }
-                None => 0,
+        let flushed = match order.split_last() {
+            // The walk pushes its root — the version page — last.
+            Some((&version_page, data_pages)) => {
+                let mut flushed = self
+                    .pages
+                    .flush_blocks_batched(data_pages.iter().copied())?;
+                flushed += self.pages.flush_blocks_batched([version_page])?;
+                flushed
             }
-        } else {
-            self.pages.flush_blocks(order)?
+            None => 0,
         };
         let dirty = std::mem::take(&mut meta.dirty_blocks);
         for nr in dirty {

@@ -24,10 +24,9 @@
 //!
 //! Shadowing and flag maintenance are *logical* operations: the paper only requires
 //! the version's pages to be on disk at commit time.  Page writes made here
-//! therefore go to the write-back buffer of [`crate::pageio::PageIo`] (when
-//! [`crate::ServiceConfig::write_back`] is on, the default) and are flushed in one
-//! batch by [`crate::commit`], so a k-operation update costs O(dirty pages)
-//! physical writes at commit instead of O(k·depth) along the way.
+//! therefore go to the write-back buffer of [`crate::pageio::PageIo`] and are
+//! flushed in one batch by [`crate::commit`], so a k-operation update costs
+//! O(dirty pages) physical writes at commit instead of O(k·depth) along the way.
 //!
 //! On top of that, the traversal **elides rewrites of unchanged pages**: once a
 //! path is shadowed and its C/S flags are set, repeated accesses through it leave
@@ -275,29 +274,18 @@ impl FileService {
     // The traversal engine.
     // ------------------------------------------------------------------
 
-    /// Stages a modified page of an uncommitted version: into the write-back buffer
-    /// (tracked in the version's dirty set) or, with write-back disabled, straight
-    /// through to the block service.
-    fn stage_page(&self, meta: &mut VersionMeta, nr: BlockNr, page: &Arc<Page>) -> Result<()> {
-        if self.config.write_back {
-            self.pages.write_page_buffered(nr, page);
-            meta.dirty_blocks.insert(nr);
-            Ok(())
-        } else {
-            self.pages.write_page(nr, page)
-        }
+    /// Stages a modified page of an uncommitted version into the write-back buffer
+    /// and tracks it in the version's dirty set.
+    fn stage_page(&self, meta: &mut VersionMeta, nr: BlockNr, page: &Arc<Page>) {
+        self.pages.write_page_buffered(nr, page);
+        meta.dirty_blocks.insert(nr);
     }
 
     /// Allocates a block for a brand-new private page of an uncommitted version,
-    /// buffered or write-through per configuration, and records ownership.
+    /// buffers its contents and records ownership.
     fn stage_new_page(&self, meta: &mut VersionMeta, page: &Arc<Page>) -> Result<BlockNr> {
-        let nr = if self.config.write_back {
-            let nr = self.pages.allocate_page_buffered(page)?;
-            meta.dirty_blocks.insert(nr);
-            nr
-        } else {
-            self.pages.allocate_page(page)?
-        };
+        let nr = self.pages.allocate_page_buffered(page)?;
+        meta.dirty_blocks.insert(nr);
         meta.owned_blocks.insert(nr);
         Ok(nr)
     }
@@ -342,7 +330,7 @@ impl FileService {
                 .expect("version page has a header")
                 .root_flags = new_flags;
             let outcome = self.apply_target_access(vmut, &mut meta, access)?;
-            self.stage_page(&mut meta, root_block, &vpage)?;
+            self.stage_page(&mut meta, root_block, &vpage);
             return Ok(outcome);
         }
 
@@ -451,16 +439,16 @@ impl FileService {
             let outcome =
                 self.apply_target_access(Arc::make_mut(&mut current_page), &mut meta, access)?;
             // Stage the target first, then the (private) pages along the path, root
-            // last, so the buffer (and, in write-through mode, the disk) never holds
-            // a parent referencing a page that has not been staged yet.
-            self.stage_page(&mut meta, current_block, &current_page)?;
+            // last, so the buffer never holds a parent referencing a page that has
+            // not been staged yet.
+            self.stage_page(&mut meta, current_block, &current_page);
             outcome
         } else {
             read_only_outcome(&current_page, &access)?
         };
         for (block, page, dirty) in trail.into_iter().rev() {
             if dirty {
-                self.stage_page(&mut meta, block, &page)?;
+                self.stage_page(&mut meta, block, &page);
             }
         }
         Ok(outcome)
@@ -565,6 +553,7 @@ fn read_only_outcome(page: &Page, access: &TargetAccess) -> Result<AccessOutcome
 mod tests {
     use super::*;
     use crate::service::FileService;
+    use std::collections::HashSet;
 
     fn setup() -> (std::sync::Arc<FileService>, Capability, Capability) {
         let service = FileService::in_memory();
@@ -668,6 +657,96 @@ mod tests {
             after_second.pages_allocated - after_first.pages_allocated,
             0
         );
+    }
+
+    /// The blocks and buffered pages on the path from the version page of `v`
+    /// down to the page at `path`, root first.
+    fn buffered_trail(
+        service: &FileService,
+        v: &Capability,
+        path: &PagePath,
+    ) -> Vec<(BlockNr, Arc<Page>)> {
+        let mut block = service
+            .resolve_version(v, Rights::READ)
+            .unwrap()
+            .lock()
+            .block;
+        let mut trail = Vec::new();
+        for &index in path.indices() {
+            let page = service.pages.read_page(block).unwrap();
+            let child = page.ref_at(index).unwrap().block;
+            trail.push((block, page));
+            block = child;
+        }
+        trail.push((block, service.pages.read_page(block).unwrap()));
+        for (nr, _) in &trail {
+            assert!(service.pages.is_buffered(*nr), "block {nr:?} not buffered");
+        }
+        trail
+    }
+
+    fn dirty_blocks(service: &FileService, v: &Capability) -> HashSet<BlockNr> {
+        let meta = service.resolve_version(v, Rights::READ).unwrap();
+        let dirty = meta.lock().dirty_blocks.clone();
+        dirty
+    }
+
+    #[test]
+    fn shadow_trail_rewrites_are_elided_on_repeated_access() {
+        let service = FileService::in_memory();
+        let file = service.create_file().unwrap();
+        let v1 = service.create_version(&file).unwrap();
+        let interior = service
+            .append_page(&v1, &PagePath::root(), Bytes::from_static(b"interior"))
+            .unwrap();
+        let leaf = service
+            .append_page(&v1, &interior, Bytes::from_static(b"leaf"))
+            .unwrap();
+        service.commit(&v1).unwrap();
+
+        let v = service.create_version(&file).unwrap();
+        service
+            .write_page(&v, &leaf, Bytes::from_static(b"first"))
+            .unwrap();
+        let held = buffered_trail(&service, &v, &leaf);
+        let dirty: HashSet<BlockNr> = held.iter().map(|(nr, _)| *nr).collect();
+        assert_eq!(dirty_blocks(&service, &v), dirty);
+
+        // Repeated writes through the now fully shadowed, fully flagged trail
+        // re-stage only the leaf: the version page and the interior page stay
+        // the very buffered entries the first write left behind.
+        let mut leaf_page = Arc::clone(&held[2].1);
+        for i in 0..5u8 {
+            service.write_page(&v, &leaf, Bytes::from(vec![i])).unwrap();
+            let now = buffered_trail(&service, &v, &leaf);
+            for ((held_nr, held_page), (nr, page)) in held[..2].iter().zip(&now[..2]) {
+                assert_eq!(held_nr, nr);
+                assert!(
+                    Arc::ptr_eq(held_page, page),
+                    "write {i} re-staged unchanged page {nr:?}"
+                );
+            }
+            assert_eq!(now[2].0, held[2].0, "the leaf is written in place");
+            assert!(!Arc::ptr_eq(&leaf_page, &now[2].1), "the leaf is re-staged");
+            assert_eq!(now[2].1.data, Bytes::from(vec![i]));
+            leaf_page = Arc::clone(&now[2].1);
+            assert_eq!(dirty_blocks(&service, &v), dirty);
+        }
+
+        // The first read records the R flag in the leaf's parent; re-reads of
+        // the already read page re-stage nothing at all.
+        service.read_page(&v, &leaf).unwrap();
+        let held = buffered_trail(&service, &v, &leaf);
+        for _ in 0..5 {
+            assert_eq!(service.read_page(&v, &leaf).unwrap(), Bytes::from(vec![4]));
+            let now = buffered_trail(&service, &v, &leaf);
+            for ((held_nr, held_page), (nr, page)) in held.iter().zip(&now) {
+                assert_eq!(held_nr, nr);
+                assert!(Arc::ptr_eq(held_page, page), "a re-read re-staged {nr:?}");
+            }
+        }
+        assert_eq!(dirty_blocks(&service, &v), dirty);
+        service.commit(&v).unwrap();
     }
 
     #[test]

@@ -135,12 +135,9 @@
 //! that serves reads saw the version page only after every page it
 //! references.  Aborted versions never touch the disk at all, and crash
 //! recovery treats an unflushed uncommitted version as aborted, which is the
-//! paper's redo rule.  Set [`ServiceConfig::write_back`] to `false` to restore
-//! write-through page I/O, and [`ServiceConfig::batch_flush`] to `false` to
-//! restore the per-page flush (both used by the `perf-smoke` benchmark to
-//! measure their deltas, reported in
-//! [`PageIoStats::pages_flushed_at_commit`] and
-//! [`PageIoStats::block_write_calls`]).
+//! paper's redo rule.  [`PageIoStats::pages_flushed_at_commit`] and
+//! [`PageIoStats::block_write_calls`] report the pages and the write calls
+//! each commit's flush cost.
 //!
 //! ## Module map
 //!

@@ -11,11 +11,10 @@
 //!   [`crate::commit`] immediately before the commit-reference test-and-set:
 //!   one scatter-gather [`PageIo::flush_blocks_batched`] call carrying every
 //!   dirty data page (children-first order preserved inside the batch), then
-//!   the version page by itself, strictly last.  ([`PageIo::flush_blocks`] is
-//!   the per-page fallback, kept for the before/after measurement.)  Aborts
-//!   simply drop the buffer; crash recovery treats an unflushed uncommitted
-//!   version as aborted, which is exactly the paper's "uncommitted versions
-//!   need not be salvaged" rule.  The overlay is *authoritative* for the blocks
+//!   the version page by itself, strictly last.  Aborts simply drop the
+//!   buffer; crash recovery treats an unflushed uncommitted version as
+//!   aborted, which is exactly the paper's "uncommitted versions need not be
+//!   salvaged" rule.  The overlay is *authoritative* for the blocks
 //!   it holds: every read path consults it first, because a buffered block's
 //!   on-disk contents do not exist yet.
 //!
@@ -61,13 +60,11 @@ pub struct PageIoStats {
     /// touching the block service.
     pub cache_hits: u64,
     /// Physical page writes performed by commit-time flushes of the write-back
-    /// buffer.  The write-through cost of the same workload is the number of
-    /// buffered (logical) writes; the difference is the I/O the write-back design
-    /// elides.
+    /// buffer: each dirty page once, however many logical writes it absorbed.
     pub pages_flushed_at_commit: u64,
     /// Physical block-write *calls* issued to the block service, as opposed to
-    /// pages written: a batched k-page commit flush counts one call, a
-    /// write-through page write counts one call per page.
+    /// pages written: a k-page commit flush counts one call, a direct page
+    /// write ([`PageIo::write_page`], [`PageIo::allocate_page`]) counts one.
     /// `page_writes / block_write_calls` is the realised batching factor — the
     /// observable form of the k-pages-in-1-call claim.
     pub block_write_calls: u64,
@@ -407,7 +404,7 @@ impl PageIo {
     // ------------------------------------------------------------------
 
     /// Allocates a block number for `page` but keeps the contents in the write-back
-    /// buffer; nothing is physically written until [`PageIo::flush_blocks`].
+    /// buffer; nothing is physically written until [`PageIo::flush_blocks_batched`].
     pub fn allocate_page_buffered(&self, page: &Arc<Page>) -> Result<BlockNr> {
         let nr = self.server.allocate(&self.account)?;
         self.allocated.fetch_add(1, Ordering::Relaxed);
@@ -430,42 +427,6 @@ impl PageIo {
     /// The block itself remains allocated; callers free it separately.
     pub fn drop_buffered(&self, nr: BlockNr) {
         self.overlay.remove(nr);
-    }
-
-    /// Physically writes the buffered pages of `blocks` one page per write
-    /// call, in the given order, and removes them from the write-back buffer.
-    /// Blocks with no buffered contents are skipped.  Returns the number of
-    /// pages written.
-    ///
-    /// This is the unbatched flush ([`crate::ServiceConfig::batch_flush`] off);
-    /// [`PageIo::flush_blocks_batched`] is the one-scatter-gather-call fast
-    /// path.  The caller is responsible for ordering: [`crate::commit`] passes
-    /// children before parents with the version page last, so a crash mid-flush
-    /// can never leave a durable page referencing a page that was not written.
-    pub fn flush_blocks<I: IntoIterator<Item = BlockNr>>(&self, blocks: I) -> Result<usize> {
-        let mut flushed = 0usize;
-        for nr in blocks {
-            // Take the entry out in one lock acquisition; on a failed write it is
-            // restored so the caller can retry the flush later without data loss.
-            let Some(page) = self.overlay.remove(nr) else {
-                continue;
-            };
-            let result = page
-                .encode()
-                .and_then(|encoded| Ok(self.server.write(&self.account, nr, encoded)?));
-            if let Err(e) = result {
-                self.overlay.insert(nr, page);
-                return Err(e);
-            }
-            self.writes.fetch_add(1, Ordering::Relaxed);
-            self.write_calls.fetch_add(1, Ordering::Relaxed);
-            self.flushed_at_commit.fetch_add(1, Ordering::Relaxed);
-            if let Some(cache) = &self.cache {
-                cache.insert(nr, &page);
-            }
-            flushed += 1;
-        }
-        Ok(flushed)
     }
 
     /// Physically writes the buffered pages of `blocks` as **one scatter-gather
@@ -624,29 +585,42 @@ impl PageIo {
             }
             // Raced with a flush: fall through to the disk path below.
         }
-        let result: Result<(R, Option<Page>)> =
-            self.server.update_block_with(&self.account, nr, |raw| {
-                let page = Page::decode(raw)?;
-                // The decoded page is already private, so the view starts
-                // owned: mutable access costs nothing extra.
-                let mut view = PageMut::owned(page);
-                let (write_back, value) = f(&mut view)?;
-                if write_back {
-                    let written = view.into_written().expect("owned view keeps its page");
-                    let encoded = written.encode()?;
-                    Ok((Some(encoded), (value, Some(written))))
-                } else {
-                    Ok((None, (value, None)))
+        let result: Result<(R, bool)> = self.server.update_block_with(&self.account, nr, |raw| {
+            let page = Page::decode(raw)?;
+            // The decoded page is already private, so the view starts
+            // owned: mutable access costs nothing extra.
+            let mut view = PageMut::owned(page);
+            let (write_back, value) = f(&mut view)?;
+            if !write_back {
+                return Ok((None, (value, false)));
+            }
+            let written = view.into_written().expect("owned view keeps its page");
+            let encoded = written.encode()?;
+            // Cache the new contents while the block lock is held, so that
+            // concurrent updates of one block (a creation-lock test-and-set
+            // against a garbage-collector reshare of the same version page)
+            // reach the cache in the order they reach the disk.  Inserted after
+            // the lock, the older update could overwrite the newer one and
+            // leave the cache stale.
+            if let Some(cache) = &self.cache {
+                cache.insert(nr, &Arc::new(written));
+            }
+            Ok((Some(encoded), (value, true)))
+        });
+        let (value, written) = match result {
+            Ok(done) => done,
+            Err(e) => {
+                // The write may not have happened: let the disk decide.
+                if let Some(cache) = &self.cache {
+                    cache.remove(nr);
                 }
-            });
-        let (value, written) = result?;
+                return Err(e);
+            }
+        };
         self.reads.fetch_add(1, Ordering::Relaxed);
-        if let Some(page) = written {
+        if written {
             self.writes.fetch_add(1, Ordering::Relaxed);
             self.write_calls.fetch_add(1, Ordering::Relaxed);
-            if let Some(cache) = &self.cache {
-                cache.insert(nr, &Arc::new(page));
-            }
         }
         Ok(value)
     }
@@ -753,7 +727,7 @@ mod tests {
             Bytes::from(vec![9u8])
         );
 
-        let flushed = io.flush_blocks([nr]).unwrap();
+        let flushed = io.flush_blocks_batched([nr]).unwrap();
         assert_eq!(flushed, 1);
         let total = io.stats().since(&before);
         assert_eq!(total.page_writes, 1, "ten logical writes, one physical");
@@ -818,7 +792,7 @@ mod tests {
         let io = page_io(Some(16));
         let nr = io.allocate_page_buffered(&leaf(b"doomed")).unwrap();
         io.drop_buffered(nr);
-        assert_eq!(io.flush_blocks([nr]).unwrap(), 0);
+        assert_eq!(io.flush_blocks_batched([nr]).unwrap(), 0);
         // The block is still allocated but holds no decodable page.
         assert!(io.read_page(nr).is_err());
         io.free_page(nr).unwrap();

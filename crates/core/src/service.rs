@@ -35,29 +35,6 @@ use crate::types::{FileId, FsError, Result, VersionId};
 pub struct ServiceConfig {
     /// Capacity of the server-side page/flag cache; `None` disables it (E13).
     pub flag_cache_capacity: Option<usize>,
-    /// Buffer page writes of uncommitted versions in memory and flush them to the
-    /// block service at commit time (the paper's durability-at-commit rule).  When
-    /// `false` every staged page is written through immediately (shadow-trail
-    /// write elision still applies, so unchanged pages are skipped in both modes).
-    /// The `perf-smoke` benchmark binary uses the toggle to measure the
-    /// write-through vs write-back delta.
-    pub write_back: bool,
-    /// Flush a commit's dirty data pages as one scatter-gather
-    /// [`amoeba_block::BlockStore::write_batch`] call (children-first order
-    /// preserved inside the batch, version page still written strictly last,
-    /// by itself).  When `false` the flush issues one write call per page —
-    /// the pre-batching behaviour, kept so the `perf-smoke` benchmark can
-    /// measure the before/after physical-write-call delta.
-    ///
-    /// The analogous toggle one layer down is the *commit rule* of the
-    /// replica set the service flushes to: replicated storage acknowledges
-    /// each of these calls at a majority of the current membership epoch by
-    /// default (`amoeba_block::CommitRule::Quorum`); constructing the store
-    /// with `ReplicatedBlockStore::with_rule(…, CommitRule::WriteAll)`
-    /// restores the wait-for-every-replica behaviour for experiments — the
-    /// `perf-smoke` benchmark compares the two under a deliberately slow
-    /// replica.
-    pub batch_flush: bool,
     /// How many committed versions of each file the garbage collector retains.
     pub history_retention: usize,
     /// First residue of the object-id namespace this service mints from.  A shard
@@ -80,8 +57,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             flag_cache_capacity: Some(4096),
-            write_back: true,
-            batch_flush: true,
             history_retention: 8,
             object_id_offset: 0,
             object_id_stride: 1,

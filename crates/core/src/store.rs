@@ -123,8 +123,8 @@ pub trait FileStore: Send + Sync {
 
     /// Physical page I/O statistics of the backing service, if the store can see
     /// them.  A local service reports its counters (including
-    /// [`crate::PageIoStats::pages_flushed_at_commit`], the write-back vs
-    /// write-through delta); remote stores return `None`.
+    /// [`crate::PageIoStats::pages_flushed_at_commit`], the pages its commits
+    /// flushed); remote stores return `None`.
     ///
     /// A sharded store reports the *sum* over its shards here, never a single
     /// shard's counters; per-shard figures are available from

@@ -135,16 +135,9 @@ impl FileService {
             .collect();
         vpage.data = base_page.data.clone();
         let vpage = std::sync::Arc::new(vpage);
-        // An uncommitted version page need not be durable until commit; in
-        // write-back mode it starts life in the buffer.
-        let mut dirty_blocks = HashSet::new();
-        let block = if self.config.write_back {
-            let block = self.pages.allocate_page_buffered(&vpage)?;
-            dirty_blocks.insert(block);
-            block
-        } else {
-            self.pages.allocate_page(&vpage)?
-        };
+        // An uncommitted version page need not be durable until commit: it
+        // starts life in the write-back buffer.
+        let block = self.pages.allocate_page_buffered(&vpage)?;
 
         let meta = VersionMeta {
             cap: version_cap,
@@ -152,7 +145,7 @@ impl FileService {
             block,
             state: VersionState::Uncommitted,
             owned_blocks: HashSet::new(),
-            dirty_blocks,
+            dirty_blocks: HashSet::from([block]),
         };
         self.register_version(version_id, meta);
         Ok(version_cap)

@@ -10,17 +10,6 @@ use afs_core::{
     BlockServer, Capability, FileService, MemStore, PagePath, ServiceConfig, VersionState,
 };
 
-fn service_with(write_back: bool) -> Arc<FileService> {
-    let server = Arc::new(BlockServer::new(Arc::new(MemStore::new())));
-    FileService::with_config(
-        server,
-        ServiceConfig {
-            write_back,
-            ..ServiceConfig::default()
-        },
-    )
-}
-
 /// Builds a committed file with a depth-2 path root → interior → leaf and returns
 /// the leaf path.
 fn deep_file(service: &FileService) -> (Capability, PagePath) {
@@ -38,7 +27,7 @@ fn deep_file(service: &FileService) -> (Capability, PagePath) {
 
 #[test]
 fn repeated_writes_cost_o_dirty_pages_at_commit_not_o_k_depth() {
-    let service = service_with(true);
+    let service = FileService::in_memory();
     let (file, leaf) = deep_file(&service);
 
     const K: usize = 50;
@@ -60,8 +49,8 @@ fn repeated_writes_cost_o_dirty_pages_at_commit_not_o_k_depth() {
     service.commit(&v).unwrap();
     let total = service.io_stats().since(&before);
     // The flush writes the dirty pages once each (leaf copy, interior copy, version
-    // page); commit adds the commit-reference test-and-set and the lock clear.  The
-    // write-through seed paid O(K · depth) writes for the same workload.
+    // page); commit adds the commit-reference test-and-set and the lock clear.
+    // Writing each access through would cost O(K · depth) writes instead.
     assert!(
         total.pages_flushed_at_commit <= 4,
         "expected O(dirty) flushed pages, got {total:?}"
@@ -77,64 +66,6 @@ fn repeated_writes_cost_o_dirty_pages_at_commit_not_o_k_depth() {
         service.read_committed_page(&current, &leaf).unwrap(),
         Bytes::from(vec![(K - 1) as u8; 64])
     );
-}
-
-#[test]
-fn write_back_elides_physical_io_the_write_through_mode_pays() {
-    let run = |write_back: bool| {
-        let service = service_with(write_back);
-        let (file, leaf) = deep_file(&service);
-        let before = service.io_stats();
-        for round in 0..10u8 {
-            let v = service.create_version(&file).unwrap();
-            for i in 0..10u8 {
-                service
-                    .write_page(&v, &leaf, Bytes::from(vec![round, i]))
-                    .unwrap();
-            }
-            service.commit(&v).unwrap();
-        }
-        service.io_stats().since(&before)
-    };
-    let write_through = run(false);
-    let write_back = run(true);
-    assert!(
-        write_back.page_writes < write_through.page_writes,
-        "write-back ({write_back:?}) must beat write-through ({write_through:?})"
-    );
-    assert!(write_back.pages_flushed_at_commit > 0);
-    assert_eq!(write_through.pages_flushed_at_commit, 0);
-}
-
-#[test]
-fn shadow_trail_rewrites_are_elided_on_repeated_access() {
-    let service = service_with(false); // write-through makes every rewrite visible
-    let (file, leaf) = deep_file(&service);
-    let v = service.create_version(&file).unwrap();
-    service
-        .write_page(&v, &leaf, Bytes::from_static(b"first"))
-        .unwrap();
-    let after_first = service.io_stats();
-    // Repeated writes through the now fully shadowed, fully flagged trail must
-    // rewrite only the leaf, not the interior pages or the version page.
-    for i in 0..5u8 {
-        service.write_page(&v, &leaf, Bytes::from(vec![i])).unwrap();
-    }
-    let delta = service.io_stats().since(&after_first);
-    assert_eq!(
-        delta.page_writes, 5,
-        "each repeated write must rewrite exactly the target page: {delta:?}"
-    );
-    // Repeated reads of an already read page rewrite nothing at all.  (The very
-    // first read records the R flag in the leaf's parent, which is one rewrite.)
-    service.read_page(&v, &leaf).unwrap();
-    let before_reads = service.io_stats();
-    for _ in 0..5 {
-        service.read_page(&v, &leaf).unwrap();
-    }
-    let delta = service.io_stats().since(&before_reads);
-    assert_eq!(delta.page_writes, 0, "re-reads must not rewrite: {delta:?}");
-    service.commit(&v).unwrap();
 }
 
 #[test]
@@ -192,7 +123,7 @@ fn crash_before_commit_recovers_the_version_as_aborted() {
 
 #[test]
 fn aborts_drop_the_buffer_without_physical_writes() {
-    let service = service_with(true);
+    let service = FileService::in_memory();
     let (file, leaf) = deep_file(&service);
     // Creating and aborting a version each write the shared current version page
     // once (top-lock set and clear); everything in between must cost nothing.
@@ -219,7 +150,7 @@ fn aborts_drop_the_buffer_without_physical_writes() {
 
 #[test]
 fn concurrent_committers_share_the_cache_and_stay_correct() {
-    let service = service_with(true);
+    let service = FileService::in_memory();
     let file = service.create_file().unwrap();
     let setup = service.create_version(&file).unwrap();
     let mut paths = Vec::new();
@@ -285,7 +216,7 @@ fn commit_cost(service: &FileService, file: &Capability, dirty: usize) -> (u64, 
 
 #[test]
 fn a_k_dirty_page_commit_costs_o1_block_write_calls() {
-    let service = service_with(true);
+    let service = FileService::in_memory();
     let file = service.create_file().unwrap();
 
     let (writes_small, calls_small) = commit_cost(&service, &file, 4);
@@ -304,53 +235,6 @@ fn a_k_dirty_page_commit_costs_o1_block_write_calls() {
         calls_large <= 3,
         "a commit is 1 batch + 1 version page + 1 test-and-set, got {calls_large}"
     );
-}
-
-#[test]
-fn unbatched_flush_pays_one_call_per_page_and_stays_equivalent() {
-    let batched = service_with(true);
-    let unbatched = {
-        let server = Arc::new(BlockServer::new(Arc::new(MemStore::new())));
-        FileService::with_config(
-            server,
-            ServiceConfig {
-                write_back: true,
-                batch_flush: false,
-                ..ServiceConfig::default()
-            },
-        )
-    };
-
-    let mut currents = Vec::new();
-    for service in [&batched, &unbatched] {
-        let file = service.create_file().unwrap();
-        let (_, calls) = commit_cost(service, &file, 16);
-        let io = service.io_stats();
-        if std::ptr::eq(service, &batched) {
-            assert!(calls <= 3, "batched flush is O(1) calls, got {calls}");
-        } else {
-            assert!(
-                calls >= 17,
-                "unbatched flush pays one call per dirty page, got {calls}"
-            );
-            assert_eq!(
-                io.page_writes, io.block_write_calls,
-                "without batching, calls equal pages written"
-            );
-        }
-        // Identical logical state either way.
-        let current = service.current_version(&file).unwrap();
-        let mut pages = Vec::new();
-        for i in 0..16u16 {
-            pages.push(
-                service
-                    .read_committed_page(&current, &PagePath::new(vec![i]))
-                    .unwrap(),
-            );
-        }
-        currents.push(pages);
-    }
-    assert_eq!(currents[0], currents[1]);
 }
 
 #[test]

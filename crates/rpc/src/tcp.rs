@@ -149,6 +149,7 @@ impl WorkerPool {
                     }
                 }
             };
+            let _slot = ReleaseOnUnwind(self);
             job();
         }
     }
@@ -156,6 +157,19 @@ impl WorkerPool {
     fn shutdown(&self) {
         self.inner.lock().shutdown = true;
         self.ready.notify_all();
+    }
+}
+
+/// Gives up a worker's place in [`PoolInner::live`] if its job unwinds: the
+/// thread dies with the panic, and without this the pool would count it as
+/// alive forever and, after [`MAX_WORKERS`] such deaths, never spawn again.
+struct ReleaseOnUnwind<'a>(&'a WorkerPool);
+
+impl Drop for ReleaseOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.inner.lock().live -= 1;
+        }
     }
 }
 
@@ -747,6 +761,26 @@ mod tests {
     use super::*;
     use amoeba_capability::Capability;
     use bytes::BytesMut;
+
+    #[test]
+    fn a_panicking_job_releases_its_worker_slot() {
+        let pool = WorkerPool::new();
+        let live_before = pool.inner.lock().live;
+        pool.execute(Box::new(|| panic!("job failed")));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pool.inner.lock().live != live_before {
+            assert!(
+                Instant::now() < deadline,
+                "the dead worker still counts as live"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (done, ran) = std::sync::mpsc::channel();
+        pool.execute(Box::new(move || done.send(()).unwrap()));
+        ran.recv_timeout(Duration::from_secs(5))
+            .expect("a job queued after the panic still runs");
+        pool.shutdown();
+    }
 
     #[test]
     fn tcp_round_trip() {

@@ -293,14 +293,14 @@ mod tests {
         // A forged capability is refused before any grant is registered: no
         // committing writer must ever break or wait on it.
         let bogus = Capability::null();
-        let reply = validate(bogus.clone());
+        let reply = validate(bogus);
         assert!(!reply.is_ok());
         assert_eq!(handler.lease_manager().granted_total(), 0);
         assert_eq!(handler.lease_manager().live_grants(bogus.object), 0);
 
         // A genuine capability still grants.
         let file = service.create_file().unwrap();
-        assert!(validate(file.clone()).is_ok());
+        assert!(validate(file).is_ok());
         assert_eq!(handler.lease_manager().granted_total(), 1);
         assert_eq!(handler.lease_manager().live_grants(file.object), 1);
     }

@@ -424,7 +424,10 @@ mod tests {
             assert!(mgr.grant(u64::MAX, &as_dyn(&c)).is_some());
         }
         let tracked = mgr.inner.lock().grants.len();
-        assert!(tracked <= 2, "cold grant entries must be swept, {tracked} left");
+        assert!(
+            tracked <= 2,
+            "cold grant entries must be swept, {tracked} left"
+        );
     }
 
     #[test]

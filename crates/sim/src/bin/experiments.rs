@@ -3,12 +3,13 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p afs-bench --release --bin experiments -- all
-//! cargo run -p afs-bench --release --bin experiments -- e1 e4 e7
-//! cargo run -p afs-bench --release --bin experiments -- quick   # small parameters
+//! cargo run -p afs-sim --release --bin experiments -- all
+//! cargo run -p afs-sim --release --bin experiments -- e1 e4 e7
+//! cargo run -p afs-sim --release --bin experiments -- quick   # small parameters
 //! ```
 //!
-//! Each experiment prints the rows recorded in EXPERIMENTS.md.
+//! Each experiment prints the rows of one [`afs_sim::experiments`] sweep; the
+//! tests in that module check the claims at small scale.
 
 use afs_sim::experiments as exp;
 use afs_sim::experiments::print_rows;

@@ -1,9 +1,10 @@
-//! The per-experiment sweeps (DESIGN.md E1–E14).
+//! The per-experiment sweeps E1–E14.
 //!
 //! Every function here regenerates one of the paper's claims: it builds the systems
-//! involved, runs the workload, and returns printable rows.  The `afs-bench` crate
-//! wraps each function in a binary (`exp_e1`, `exp_e2`, …) and EXPERIMENTS.md records
-//! paper-claim vs. measured output.
+//! involved, runs the workload, and returns printable rows.  This crate's
+//! `experiments` binary prints them by id (`cargo run -p afs-sim --release --bin
+//! experiments -- e3`), and the tests at the bottom of this module check the
+//! claims at small scale.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -1,9 +1,10 @@
 //! Experiment harness: multi-client drivers, metrics and the per-experiment sweeps
-//! that regenerate the paper's claims (see DESIGN.md, experiments E1–E14).
+//! that regenerate the paper's claims (experiments E1–E14, listed in
+//! [`experiments`]).
 //!
 //! Every experiment is a plain function returning printable rows, so the same code
-//! backs the `cargo bench` targets, the `exp_*` binaries in `afs-bench`, and the
-//! smoke tests in this crate.
+//! backs this crate's `experiments` binary and the claim-checking tests in
+//! [`experiments`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

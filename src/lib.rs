@@ -35,7 +35,9 @@
 //! * [`afs_baselines`] — the 2PL, timestamp-ordering and callback-cache comparators,
 //!   plus [`afs_baselines::StoreAdapter`], which drives any `FileStore` through
 //!   the uniform experiment interface,
-//! * [`afs_workload`] / [`afs_sim`] — workload generators and the experiment harness.
+//! * [`afs_workload`] / [`afs_sim`] — workload generators and the harness for the
+//!   paper's claims E1–E14 (the `experiments` binary).  The end-to-end benchmark
+//!   lives in `perfbench/`, a workspace of its own.
 //!
 //! ## Architecture: shards, replicas, capability-based placement
 //!
